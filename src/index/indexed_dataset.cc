@@ -12,25 +12,29 @@ Result<std::unique_ptr<IndexedDataset>> IndexedDataset::Create(
   return out;
 }
 
+SecondaryIndexOptions IndexedDataset::IndexOptions(
+    const std::string& suffix) const {
+  const DatasetOptions& ds = dataset_->options();
+  SecondaryIndexOptions options;
+  options.dir = ds.dir;
+  options.name = ds.name + "_" + suffix;
+  options.page_size = ds.page_size;
+  options.fs = ds.fs;
+  return options;
+}
+
 Status IndexedDataset::DeclareIndex(const std::string& name,
                                     std::vector<std::string> field_path) {
-  SecondaryIndexOptions options;
-  options.dir = dataset_->options().dir;
-  options.name = dataset_->options().name + "_" + name;
-  options.page_size = dataset_->options().page_size;
   LSMCOL_ASSIGN_OR_RETURN(auto index,
-                          SecondaryIndex::Create(options, cache_));
+                          SecondaryIndex::Create(IndexOptions(name), cache_));
   indexes_.push_back(
       DeclaredIndex{name, std::move(field_path), std::move(index)});
   return Status::OK();
 }
 
 Status IndexedDataset::DeclarePrimaryKeyIndex() {
-  SecondaryIndexOptions options;
-  options.dir = dataset_->options().dir;
-  options.name = dataset_->options().name + "_pkidx";
-  options.page_size = dataset_->options().page_size;
-  LSMCOL_ASSIGN_OR_RETURN(pk_index_, PrimaryKeyIndex::Create(options, cache_));
+  LSMCOL_ASSIGN_OR_RETURN(
+      pk_index_, PrimaryKeyIndex::Create(IndexOptions("pkidx"), cache_));
   return Status::OK();
 }
 

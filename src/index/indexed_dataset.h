@@ -70,6 +70,9 @@ class IndexedDataset {
 
   IndexedDataset() = default;
 
+  /// Options for an index named `<dataset>_<suffix>`, stored in the
+  /// dataset's directory on the dataset's filesystem.
+  SecondaryIndexOptions IndexOptions(const std::string& suffix) const;
   Result<DeclaredIndex*> FindIndex(const std::string& name);
   /// Extract the indexed int64 value; false if missing/non-int.
   static bool IndexedValue(const Value& record,

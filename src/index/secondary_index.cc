@@ -87,7 +87,8 @@ Status SecondaryIndex::Flush() {
   const std::string path = options_.dir + "/" + options_.name + "_" +
                            std::to_string(next_component_id_++) + ".idx";
   LSMCOL_ASSIGN_OR_RETURN(
-      auto writer, ComponentWriter::Create(path, cache_, options_.page_size));
+      auto writer, ComponentWriter::Create(path, cache_, options_.page_size,
+                                           kComponentFormatV4, options_.fs));
   std::vector<IndexEntry> entries;
   std::vector<bool> anti;
   auto emit = [&]() -> Status {
@@ -110,7 +111,8 @@ Status SecondaryIndex::Flush() {
   LSMCOL_RETURN_NOT_OK(emit());
   LSMCOL_RETURN_NOT_OK(writer->Finish(Slice("SIDX")));
   LSMCOL_ASSIGN_OR_RETURN(
-      auto reader, ComponentReader::Open(path, cache_, options_.page_size));
+      auto reader,
+      ComponentReader::Open(path, cache_, options_.page_size, options_.fs));
   components_.insert(components_.begin(), Component{std::move(reader)});
   memtable_.clear();
   if (components_.size() > static_cast<size_t>(options_.max_components)) {
@@ -181,7 +183,8 @@ Status SecondaryIndex::MergeAll() {
   const std::string path = options_.dir + "/" + options_.name + "_" +
                            std::to_string(next_component_id_++) + ".idx";
   LSMCOL_ASSIGN_OR_RETURN(
-      auto writer, ComponentWriter::Create(path, cache_, options_.page_size));
+      auto writer, ComponentWriter::Create(path, cache_, options_.page_size,
+                                           kComponentFormatV4, options_.fs));
   std::vector<IndexEntry> entries;
   std::vector<bool> anti;
   auto emit = [&]() -> Status {
@@ -205,7 +208,8 @@ Status SecondaryIndex::MergeAll() {
   LSMCOL_RETURN_NOT_OK(emit());
   LSMCOL_RETURN_NOT_OK(writer->Finish(Slice("SIDX")));
   LSMCOL_ASSIGN_OR_RETURN(
-      auto reader, ComponentReader::Open(path, cache_, options_.page_size));
+      auto reader,
+      ComponentReader::Open(path, cache_, options_.page_size, options_.fs));
   std::vector<Component> old = std::move(components_);
   components_.clear();
   components_.push_back(Component{std::move(reader)});

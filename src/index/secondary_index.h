@@ -26,6 +26,11 @@ struct SecondaryIndexOptions {
   std::string dir;
   std::string name = "index";
   size_t page_size = kDefaultPageSize;
+  /// Filesystem for every index file (nullptr -> DefaultFileSystem()).
+  /// IndexedDataset passes its dataset's DatasetOptions::fs, so index
+  /// files live beside the components on the same (possibly injected)
+  /// filesystem.
+  FileSystem* fs = nullptr;
   /// Entries buffered in memory before a flush.
   size_t memtable_entries = 64 * 1024;
   int max_components = 5;

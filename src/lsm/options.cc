@@ -113,11 +113,12 @@ Status ValidateDatasetOptions(const DatasetOptions& options) {
     return Bad("io_retry.initial_backoff_micros",
                "must not exceed io_retry.max_backoff_micros");
   }
-  if (options.component_format_version != kComponentFormatLegacy &&
-      options.component_format_version != kComponentFormatChecksummed) {
+  if (options.component_format_version < kComponentFormatV2 ||
+      options.component_format_version > kComponentFormatV4) {
     return Bad("component_format_version",
-               "must be " + std::to_string(kComponentFormatLegacy) + " or " +
-                   std::to_string(kComponentFormatChecksummed) + ", got " +
+               "must be " + std::to_string(kComponentFormatV2) + ", " +
+                   std::to_string(kComponentFormatV3) + " or " +
+                   std::to_string(kComponentFormatV4) + ", got " +
                    std::to_string(options.component_format_version));
   }
   return Status::OK();

@@ -9,25 +9,46 @@ namespace {
 // (zone filters). Old components are cleanly rejected at open instead of
 // being mis-parsed; this repo regenerates its datasets, so there is no
 // migration path — recovery surfaces Corruption and the caller rebuilds.
-// "LSMCOLF3": F2 -> F3 when pages gained the checksum trailer. F2 files
-// stay readable (mixed-version datasets are routine after an upgrade);
-// Open sniffs the footer to pick the mode.
-constexpr uint64_t kFooterMagicV2 = 0x4C534D434F4C4632ULL;
-constexpr uint64_t kFooterMagicV3 = 0x4C534D434F4C4633ULL;
+// "LSMCOLF3": F2 -> F3 when pages gained the FNV-1a checksum trailer.
+// "LSMCOLF4": F3 -> F4 when the trailer checksum became CRC-32C (same
+// trailer size and coverage, a tenth of the verify cost). F2 and F3
+// files stay readable (mixed-version datasets are routine after an
+// upgrade); Open sniffs the footer to pick the mode.
+struct ComponentFormat {
+  uint32_t version;
+  PageTrailer trailer;
+  uint64_t footer_magic;
+};
+
+constexpr ComponentFormat kFormats[] = {
+    {kComponentFormatV2, PageTrailer::kNone, 0x4C534D434F4C4632ULL},
+    {kComponentFormatV3, PageTrailer::kFnv1a, 0x4C534D434F4C4633ULL},
+    {kComponentFormatV4, PageTrailer::kCrc32c, 0x4C534D434F4C4634ULL},
+};
+
+const ComponentFormat& FormatOf(PageTrailer trailer) {
+  for (const ComponentFormat& f : kFormats) {
+    if (f.trailer == trailer) return f;
+  }
+  LSMCOL_CHECK(false);
+  return kFormats[0];
+}
 
 }  // namespace
 
 Result<std::unique_ptr<ComponentWriter>> ComponentWriter::Create(
     const std::string& path, BufferCache* cache, size_t page_size,
     uint32_t format_version, FileSystem* fs) {
-  if (format_version != kComponentFormatLegacy &&
-      format_version != kComponentFormatChecksummed) {
+  const ComponentFormat* format = nullptr;
+  for (const ComponentFormat& f : kFormats) {
+    if (f.version == format_version) format = &f;
+  }
+  if (format == nullptr) {
     return Status::InvalidArgument("unsupported component format version " +
                                    std::to_string(format_version));
   }
-  const bool checksummed = format_version == kComponentFormatChecksummed;
-  LSMCOL_ASSIGN_OR_RETURN(auto file,
-                          PageFile::Create(path, page_size, checksummed, fs));
+  LSMCOL_ASSIGN_OR_RETURN(
+      auto file, PageFile::Create(path, page_size, format->trailer, fs));
   return std::unique_ptr<ComponentWriter>(
       new ComponentWriter(path, std::move(file), cache));
 }
@@ -91,7 +112,7 @@ Status ComponentWriter::Finish(Slice metadata) {
   // Footer page. The trailing validity byte is the paper's "validity bit"
   // (§2.1.1): it is only set once everything else is durable.
   Buffer footer;
-  footer.AppendFixed64(file_->checksummed() ? kFooterMagicV3 : kFooterMagicV2);
+  footer.AppendFixed64(FormatOf(file_->trailer()).footer_magic);
   footer.AppendFixed64(index_page);
   footer.AppendFixed32(index_pages);
   footer.AppendFixed64(index.size());
@@ -109,40 +130,53 @@ Result<std::unique_ptr<ComponentReader>> ComponentReader::Open(
     FileSystem* fs) {
   fs = ResolveFs(fs);
   uint64_t size = 0;
+  uint32_t tail_magic = 0;
   {
     LSMCOL_ASSIGN_OR_RETURN(auto probe, fs->Open(path, /*writable=*/false));
     LSMCOL_ASSIGN_OR_RETURN(size, probe->Size());
+    if (size >= 4) {
+      Buffer tail;
+      LSMCOL_RETURN_NOT_OK(probe->ReadAt(size - 4, 4, &tail));
+      if (tail.size() == 4) tail_magic = DecodeFixed32(tail.data());
+    }
   }
   if (size == 0) return Status::Corruption("empty component file: " + path);
-  // Sniff the format from the file size and footer. A v3 (trailered)
-  // file's size is a multiple of page_size + trailer; its footer page
-  // must then verify and carry the F3 magic. Sizes can divide both ways
-  // (lcm of the two page sizes), so a failed v3 attempt falls through to
-  // the legacy parse — but a *verified* checksum failure is damage, and
-  // is preferred over the legacy attempt's "bad magic" noise.
-  const uint64_t physical_v3 = page_size + kPageTrailerBytes;
-  Status v3_err;
-  if (size % physical_v3 == 0) {
-    auto attempt = OpenAs(path, cache, page_size, /*checksummed=*/true, fs);
+  // Sniff the format from the file size and footer. A trailered (v3/v4)
+  // file's size is a multiple of page_size + trailer, and its last four
+  // bytes — the footer page's trailer magic — name the checksum; the
+  // footer page must then verify and carry the matching footer magic.
+  // An unknown magic is tried as v4, so damage to it still reports as a
+  // checksum failure. Sizes can divide both ways (lcm of the two page
+  // sizes), so a failed trailered attempt falls through to the legacy
+  // parse — but a *verified* checksum failure is damage, and is
+  // preferred over the legacy attempt's "bad magic" noise.
+  const uint64_t physical_trailered = page_size + kPageTrailerBytes;
+  Status trailered_err;
+  if (size % physical_trailered == 0) {
+    const PageTrailer trailer =
+        PageTrailerForMagic(tail_magic) == PageTrailer::kFnv1a
+            ? PageTrailer::kFnv1a
+            : PageTrailer::kCrc32c;
+    auto attempt = OpenAs(path, cache, page_size, trailer, fs);
     if (attempt.ok()) return attempt;
-    v3_err = attempt.status();
-    if (size % page_size != 0) return v3_err;
+    trailered_err = attempt.status();
+    if (size % page_size != 0) return trailered_err;
   }
   if (size % page_size == 0) {
-    auto attempt = OpenAs(path, cache, page_size, /*checksummed=*/false, fs);
+    auto attempt = OpenAs(path, cache, page_size, PageTrailer::kNone, fs);
     if (attempt.ok()) return attempt;
-    if (v3_err.IsChecksumMismatch()) return v3_err;
+    if (trailered_err.IsChecksumMismatch()) return trailered_err;
     return attempt.status();
   }
-  if (!v3_err.ok()) return v3_err;
+  if (!trailered_err.ok()) return trailered_err;
   return Status::Corruption("file size not a multiple of page size: " + path);
 }
 
 Result<std::unique_ptr<ComponentReader>> ComponentReader::OpenAs(
     const std::string& path, BufferCache* cache, size_t page_size,
-    bool checksummed, FileSystem* fs) {
+    PageTrailer trailer, FileSystem* fs) {
   LSMCOL_ASSIGN_OR_RETURN(auto file,
-                          PageFile::Open(path, page_size, checksummed, fs));
+                          PageFile::Open(path, page_size, trailer, fs));
   if (file->page_count() == 0) {
     return Status::Corruption("empty component file: " + path);
   }
@@ -158,7 +192,7 @@ Result<std::unique_ptr<ComponentReader>> ComponentReader::OpenAs(
   uint32_t index_pages = 0, meta_pages = 0;
   uint8_t valid = 0;
   LSMCOL_RETURN_NOT_OK(fr.ReadFixed64(&magic));
-  if (magic != (checksummed ? kFooterMagicV3 : kFooterMagicV2)) {
+  if (magic != FormatOf(trailer).footer_magic) {
     return Status::Corruption("bad component magic: " + path);
   }
   LSMCOL_RETURN_NOT_OK(fr.ReadFixed64(&index_page));
@@ -209,6 +243,10 @@ Result<std::unique_ptr<ComponentReader>> ComponentReader::OpenAs(
   LSMCOL_RETURN_NOT_OK(read_blob(meta_page, meta_pages, meta_size,
                                  &reader->metadata_));
   return reader;
+}
+
+uint32_t ComponentReader::format_version() const {
+  return FormatOf(file_->trailer()).version;
 }
 
 ComponentReader::~ComponentReader() {

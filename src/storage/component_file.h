@@ -38,18 +38,21 @@ struct LeafEntry {
   uint32_t record_count = 0;
 };
 
-/// Component file format versions. v3 added the per-page checksum
-/// trailer (docs/FORMAT.md#page-trailer); v2 files remain readable —
+/// Component file format versions (docs/FORMAT.md, "Page trailer and
+/// footer versions"). v3 added the per-page FNV-1a checksum trailer; v4
+/// (the default) keeps the trailer's size and page-number coverage but
+/// checksums with CRC-32C. v2 and v3 files remain readable —
 /// ComponentReader::Open sniffs the footer to pick the mode.
-inline constexpr uint32_t kComponentFormatLegacy = 2;
-inline constexpr uint32_t kComponentFormatChecksummed = 3;
+inline constexpr uint32_t kComponentFormatV2 = 2;
+inline constexpr uint32_t kComponentFormatV3 = 3;
+inline constexpr uint32_t kComponentFormatV4 = 4;
 
 /// Sequential component writer (components are write-once).
 class ComponentWriter {
  public:
   static Result<std::unique_ptr<ComponentWriter>> Create(
       const std::string& path, BufferCache* cache, size_t page_size,
-      uint32_t format_version = kComponentFormatChecksummed,
+      uint32_t format_version = kComponentFormatV4,
       FileSystem* fs = nullptr);
 
   /// Drops the writer's cached pages: they are keyed by this PageFile
@@ -87,9 +90,10 @@ class ComponentWriter {
 /// buffer cache.
 class ComponentReader {
  public:
-  /// Opens either format: the footer magic (and, for v3, its page
-  /// checksum) decides whether the file is read with trailer
-  /// verification or as a legacy raw-page file.
+  /// Opens any supported format: the footer page's trailer magic picks
+  /// the checksum (v4 CRC-32C or v3 FNV-1a), and the footer magic (and,
+  /// when trailered, its page checksum) must agree; otherwise the file
+  /// is read as a legacy raw-page v2 file.
   static Result<std::unique_ptr<ComponentReader>> Open(const std::string& path,
                                                        BufferCache* cache,
                                                        size_t page_size,
@@ -102,12 +106,7 @@ class ComponentReader {
   size_t page_size() const { return file_->page_size(); }
   uint64_t size_bytes() const { return file_->size_bytes(); }
   const std::string& path() const { return file_->path(); }
-  /// True when pages carry the v3 checksum trailer.
-  bool checksummed() const { return file_->checksummed(); }
-  uint32_t format_version() const {
-    return file_->checksummed() ? kComponentFormatChecksummed
-                                : kComponentFormatLegacy;
-  }
+  uint32_t format_version() const;
 
   /// Read a leaf's full payload (row layouts, APAX).
   Status ReadLeaf(size_t leaf_index, Buffer* out) const;
@@ -119,10 +118,10 @@ class ComponentReader {
                        Buffer* out) const;
 
   /// Read a leaf's full payload bypassing the buffer cache: every
-  /// physical page is re-read from the filesystem and its trailer (v3)
-  /// re-verified. The scrubber's read path — a cache hit must never mask
-  /// media decay under it. Pages read this way are not inserted into the
-  /// cache (scrubbing a cold dataset must not evict the hot set).
+  /// physical page is re-read from the filesystem and its trailer (v3,
+  /// v4) re-verified. The scrubber's read path — a cache hit must never
+  /// mask media decay under it. Pages read this way are not inserted into
+  /// the cache (scrubbing a cold dataset must not evict the hot set).
   Status ReadLeafUncached(size_t leaf_index, Buffer* out) const;
 
   /// Index of the first leaf whose max_key >= key (binary search over the
@@ -137,10 +136,10 @@ class ComponentReader {
                   FileSystem* fs)
       : file_(std::move(file)), cache_(cache), fs_(fs) {}
 
-  /// One open attempt in a fixed mode (checksummed or legacy).
+  /// One open attempt with a fixed page trailer kind.
   static Result<std::unique_ptr<ComponentReader>> OpenAs(
       const std::string& path, BufferCache* cache, size_t page_size,
-      bool checksummed, FileSystem* fs);
+      PageTrailer trailer, FileSystem* fs);
 
   std::unique_ptr<PageFile> file_;
   BufferCache* cache_;

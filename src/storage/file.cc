@@ -7,42 +7,44 @@
 #include <atomic>
 #include <vector>
 
+#include "src/storage/crc32c.h"
+
 namespace lsmcol {
 namespace {
 
 std::atomic<uint64_t> g_next_file_id{1};
 
-// "PGCK" little-endian: marks a page as carrying a trailer at all, so a
-// checksum failure on a legacy page misread in checksummed mode reports
-// as a format mismatch rather than random corruption.
-constexpr uint32_t kPageTrailerMagic = 0x4B434750u;
+// Trailer magics, little-endian. Each names its checksum, so a page of
+// one kind never verifies as the other, and a legacy page misread as
+// trailered fails on the magic rather than on random checksum bytes.
+constexpr uint32_t kTrailerMagicFnv1a = 0x4B434750u;   // "PGCK" (v3)
+constexpr uint32_t kTrailerMagicCrc32c = 0x34434750u;  // "PGC4" (v4)
 
-void PutFixed32(char* dst, uint32_t v) {
-  dst[0] = static_cast<char>(v & 0xff);
-  dst[1] = static_cast<char>((v >> 8) & 0xff);
-  dst[2] = static_cast<char>((v >> 16) & 0xff);
-  dst[3] = static_cast<char>((v >> 24) & 0xff);
+uint32_t TrailerMagic(PageTrailer trailer) {
+  return trailer == PageTrailer::kCrc32c ? kTrailerMagicCrc32c
+                                         : kTrailerMagicFnv1a;
 }
 
-uint32_t GetFixed32(const char* src) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(src[0])) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[3])) << 24);
-}
-
-/// Checksum of one page: FNV-1a over the zero-padded payload, continued
-/// over the little-endian page number (covers misdirected I/O).
-uint32_t PageChecksum(const char* payload, size_t n, uint64_t page_no) {
-  uint32_t h = Fnv1a32(Slice(payload, n));
+/// Checksum of one page: the trailer's checksum over the zero-padded
+/// payload, continued over the little-endian page number (covers
+/// misdirected I/O).
+uint32_t PageChecksum(PageTrailer trailer, const char* payload, size_t n,
+                      uint64_t page_no) {
   char num[8];
-  for (int i = 0; i < 8; ++i) {
-    num[i] = static_cast<char>((page_no >> (8 * i)) & 0xff);
+  EncodeFixed64(num, page_no);
+  if (trailer == PageTrailer::kCrc32c) {
+    return Crc32c(Slice(num, sizeof(num)), Crc32c(Slice(payload, n)));
   }
-  return Fnv1a32(Slice(num, sizeof(num)), h);
+  return Fnv1a32(Slice(num, sizeof(num)), Fnv1a32(Slice(payload, n)));
 }
 
 }  // namespace
+
+PageTrailer PageTrailerForMagic(uint32_t magic) {
+  if (magic == kTrailerMagicCrc32c) return PageTrailer::kCrc32c;
+  if (magic == kTrailerMagicFnv1a) return PageTrailer::kFnv1a;
+  return PageTrailer::kNone;
+}
 
 std::string ErrnoMessage(int err) {
   char buf[256];
@@ -67,11 +69,11 @@ uint32_t Fnv1a32(Slice data, uint32_t seed) {
 }
 
 PageFile::PageFile(std::string path, std::unique_ptr<FsFile> file,
-                   size_t page_size, bool checksummed, uint64_t page_count)
+                   size_t page_size, PageTrailer trailer, uint64_t page_count)
     : path_(std::move(path)),
       file_(std::move(file)),
       page_size_(page_size),
-      checksummed_(checksummed),
+      trailer_(trailer),
       page_count_(page_count),
       file_id_(g_next_file_id.fetch_add(1)) {}
 
@@ -79,29 +81,29 @@ PageFile::~PageFile() = default;
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
                                                    size_t page_size,
-                                                   bool checksummed,
+                                                   PageTrailer trailer,
                                                    FileSystem* fs) {
   LSMCOL_ASSIGN_OR_RETURN(auto file, ResolveFs(fs)->Create(path));
   return std::unique_ptr<PageFile>(
-      new PageFile(path, std::move(file), page_size, checksummed, 0));
+      new PageFile(path, std::move(file), page_size, trailer, 0));
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path,
                                                  size_t page_size,
-                                                 bool checksummed,
+                                                 PageTrailer trailer,
                                                  FileSystem* fs) {
   LSMCOL_ASSIGN_OR_RETURN(auto file,
                           ResolveFs(fs)->Open(path, /*writable=*/false));
   LSMCOL_ASSIGN_OR_RETURN(uint64_t size, file->Size());
   const size_t physical =
-      page_size + (checksummed ? kPageTrailerBytes : 0);
+      page_size + (trailer != PageTrailer::kNone ? kPageTrailerBytes : 0);
   if (size % physical != 0) {
     return Status::Corruption("file size not a multiple of page size: " +
                               path);
   }
   uint64_t pages = size / physical;
   return std::unique_ptr<PageFile>(
-      new PageFile(path, std::move(file), page_size, checksummed, pages));
+      new PageFile(path, std::move(file), page_size, trailer, pages));
 }
 
 Status PageFile::WritePage(uint64_t page_no, Slice payload) {
@@ -111,10 +113,10 @@ Status PageFile::WritePage(uint64_t page_no, Slice payload) {
   const size_t physical = physical_page_size();
   std::vector<char> buf(physical, 0);
   ::memcpy(buf.data(), payload.data(), payload.size());
-  if (checksummed_) {
-    PutFixed32(buf.data() + page_size_,
-               PageChecksum(buf.data(), page_size_, page_no));
-    PutFixed32(buf.data() + page_size_ + 4, kPageTrailerMagic);
+  if (trailer_ != PageTrailer::kNone) {
+    EncodeFixed32(buf.data() + page_size_,
+                  PageChecksum(trailer_, buf.data(), page_size_, page_no));
+    EncodeFixed32(buf.data() + page_size_ + 4, TrailerMagic(trailer_));
   }
   LSMCOL_RETURN_NOT_OK(
       file_->WriteAt(page_no * physical, Slice(buf.data(), physical)));
@@ -133,12 +135,12 @@ Status PageFile::ReadPage(uint64_t page_no, Buffer* out) const {
     return Status::IOError("short page read in " + path_ + " page " +
                            std::to_string(page_no));
   }
-  if (checksummed_) {
+  if (trailer_ != PageTrailer::kNone) {
     const char* trailer = out->data() + page_size_;
-    const uint32_t want = GetFixed32(trailer);
-    const uint32_t magic = GetFixed32(trailer + 4);
-    if (magic != kPageTrailerMagic ||
-        PageChecksum(out->data(), page_size_, page_no) != want) {
+    const uint32_t want = DecodeFixed32(trailer);
+    const uint32_t magic = DecodeFixed32(trailer + 4);
+    if (magic != TrailerMagic(trailer_) ||
+        PageChecksum(trailer_, out->data(), page_size_, page_no) != want) {
       return Status::ChecksumMismatch("page checksum mismatch in " + path_ +
                                       " page " + std::to_string(page_no));
     }

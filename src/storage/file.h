@@ -2,14 +2,15 @@
 // One PageFile backs one LSM on-disk component. All reads normally go
 // through the BufferCache so that I/O is counted and cached.
 //
-// Checksummed mode (component format v3, docs/FORMAT.md#page-trailer):
-// every physical page carries an 8-byte trailer — fixed32 FNV-1a over
-// the zero-padded payload plus the page number, then a fixed32 trailer
-// magic. The trailer is *added* to the page: a physical page is
-// page_size() + kPageTrailerBytes bytes, so page_size() keeps meaning
-// "payload bytes per page" and none of the chunking arithmetic above
-// this layer changes. ReadPage verifies the trailer on every physical
-// read (i.e. on every BufferCache miss) and returns
+// Trailered pages (component formats v3 and v4; docs/FORMAT.md,
+// "Page trailer and footer versions"): every physical page carries an
+// 8-byte trailer — a fixed32 checksum over the zero-padded payload plus
+// the page number, then a fixed32 trailer magic naming the checksum
+// (v4: CRC-32C, v3: FNV-1a). The trailer is *added* to the page: a
+// physical page is page_size() + kPageTrailerBytes bytes, so page_size()
+// keeps meaning "payload bytes per page" and none of the chunking
+// arithmetic above this layer changes. ReadPage verifies the trailer on
+// every physical read (i.e. on every BufferCache miss) and returns
 // Status::ChecksumMismatch naming the file and page; including the page
 // number in the checksum also catches misdirected reads and writes.
 // Legacy (v2) files have no trailer and read back unverified.
@@ -30,9 +31,21 @@ namespace lsmcol {
 /// Default on-disk page size (the paper's evaluation setting, §6).
 inline constexpr size_t kDefaultPageSize = 128 * 1024;
 
-/// Bytes of per-page trailer in checksummed mode: fixed32 FNV-1a +
-/// fixed32 trailer magic.
+/// Bytes of per-page trailer on a trailered page: fixed32 checksum
+/// (CRC-32C in v4, FNV-1a in v3) + fixed32 trailer magic. The same for
+/// both kinds, so page geometry does not depend on the checksum.
 inline constexpr size_t kPageTrailerBytes = 8;
+
+/// How the physical pages of a PageFile are verified.
+enum class PageTrailer : uint8_t {
+  kNone,    ///< component format v2: raw pages, read back unverified
+  kFnv1a,   ///< v3: FNV-1a checksum, trailer magic "PGCK"
+  kCrc32c,  ///< v4: CRC-32C checksum, trailer magic "PGC4"
+};
+
+/// The trailer kind whose magic is `magic` (the last four bytes of a
+/// trailered page); kNone when it names neither.
+PageTrailer PageTrailerForMagic(uint32_t magic);
 
 /// A file of fixed-size pages. Move-only; closes on destruction.
 class PageFile {
@@ -42,26 +55,25 @@ class PageFile {
   PageFile& operator=(const PageFile&) = delete;
 
   /// Create (truncate) a file for writing. `page_size` is the payload
-  /// bytes per page; with `checksummed`, each physical page carries
-  /// kPageTrailerBytes of verification trailer on top.
-  static Result<std::unique_ptr<PageFile>> Create(const std::string& path,
-                                                  size_t page_size,
-                                                  bool checksummed = true,
-                                                  FileSystem* fs = nullptr);
-  /// Open an existing file for reading. `checksummed` must match how the
+  /// bytes per page; unless `trailer` is kNone, each physical page
+  /// carries kPageTrailerBytes of verification trailer on top.
+  static Result<std::unique_ptr<PageFile>> Create(
+      const std::string& path, size_t page_size,
+      PageTrailer trailer = PageTrailer::kCrc32c, FileSystem* fs = nullptr);
+  /// Open an existing file for reading. `trailer` must match how the
   /// file was written (component_file.cc sniffs the footer to decide).
-  static Result<std::unique_ptr<PageFile>> Open(const std::string& path,
-                                                size_t page_size,
-                                                bool checksummed = false,
-                                                FileSystem* fs = nullptr);
+  static Result<std::unique_ptr<PageFile>> Open(
+      const std::string& path, size_t page_size,
+      PageTrailer trailer = PageTrailer::kNone, FileSystem* fs = nullptr);
 
   /// Write one page. `payload` must be <= page_size; it is zero-padded
-  /// (and, in checksummed mode, trailed with its checksum). Pages may be
+  /// (and, on a trailered file, trailed with its checksum). Pages may be
   /// written in any order but the file grows as needed.
   Status WritePage(uint64_t page_no, Slice payload);
 
-  /// Read one full page payload into out (resized to page_size). In
-  /// checksummed mode the trailer is verified first: a mismatch returns
+  /// Read one full page payload into out (resized to page_size). On a
+  /// trailered file the trailer is verified first: a mismatch (wrong
+  /// checksum, or the other kind's magic) returns
   /// Status::ChecksumMismatch naming this file and page.
   Status ReadPage(uint64_t page_no, Buffer* out) const;
 
@@ -69,11 +81,12 @@ class PageFile {
 
   /// Payload bytes per page (what callers chunk by).
   size_t page_size() const { return page_size_; }
-  /// Bytes per page on disk (payload + trailer in checksummed mode).
+  /// Bytes per page on disk (payload + trailer on a trailered file).
   size_t physical_page_size() const {
-    return page_size_ + (checksummed_ ? kPageTrailerBytes : 0);
+    return page_size_ +
+           (trailer_ != PageTrailer::kNone ? kPageTrailerBytes : 0);
   }
-  bool checksummed() const { return checksummed_; }
+  PageTrailer trailer() const { return trailer_; }
   uint64_t page_count() const { return page_count_; }
   const std::string& path() const { return path_; }
 
@@ -85,12 +98,12 @@ class PageFile {
 
  private:
   PageFile(std::string path, std::unique_ptr<FsFile> file, size_t page_size,
-           bool checksummed, uint64_t page_count);
+           PageTrailer trailer, uint64_t page_count);
 
   std::string path_;
   std::unique_ptr<FsFile> file_;
   size_t page_size_;
-  bool checksummed_;
+  PageTrailer trailer_;
   uint64_t page_count_;
   uint64_t file_id_;
 };
@@ -100,7 +113,8 @@ class PageFile {
 std::string ErrnoMessage(int err);
 
 /// FNV-1a 32-bit over `data`, optionally continuing a running hash. The
-/// one checksum lsmcol uses (pages, WAL frames, manifests).
+/// checksum of WAL frames, manifests and v3 page trailers (v4 page
+/// trailers use Crc32c, src/storage/crc32c.h).
 uint32_t Fnv1a32(Slice data, uint32_t seed = 2166136261u);
 
 /// Delete a file (ignores non-existence).

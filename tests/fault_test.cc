@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -185,34 +186,42 @@ TEST_P(FaultTest, BitFlipQuarantinesOnlyAffectedComponent) {
   EXPECT_GE(health[0].checksum_failures, 1u);
 }
 
-// Satellite: components written before the checksum trailer existed
-// (format v2) and after (v3) coexist in one dataset; reads sniff the
-// format per file.
+// Components of all three on-disk generations — v2 (no trailer), v3
+// (FNV-1a trailer) and v4 (CRC-32C trailer, the default) — coexist in one
+// dataset; reads sniff the format per file, and a merge writes v4.
 TEST_P(FaultTest, MixedFormatVersionsReadTogether) {
-  {
+  for (uint32_t version : {kComponentFormatV2, kComponentFormatV3}) {
     auto store = Store::Open(Options());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    DatasetOptions legacy = DocOptions();
-    legacy.component_format_version = kComponentFormatLegacy;
-    auto ds = (*store)->OpenDataset("docs", legacy);
+    DatasetOptions older = DocOptions();
+    older.component_format_version = version;
+    auto ds = (*store)->OpenDataset("docs", older);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-    for (int64_t i = 0; i < 60; ++i) {
+    const int64_t base = 1000 * static_cast<int64_t>(version - 2);
+    for (int64_t i = base; i < base + 60; ++i) {
       ASSERT_TRUE((*ds)->Insert(MakeRecord(i)).ok());
     }
-    ASSERT_TRUE((*ds)->Flush().ok());  // legacy, trailer-free component
+    ASSERT_TRUE((*ds)->Flush().ok());
   }
   auto store = Store::Open(Options());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto ds_or = (*store)->OpenDataset("docs", DocOptions());  // v3 default
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());  // v4 default
   ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
   Dataset* ds = *ds_or;
-  for (int64_t i = 1000; i < 1060; ++i) {
+  for (int64_t i = 2000; i < 2060; ++i) {
     ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
   }
-  ASSERT_TRUE(ds->Flush().ok());  // checksummed component
-  ASSERT_EQ(ds->component_count(), 2u);
+  ASSERT_TRUE(ds->Flush().ok());
+  ASSERT_EQ(ds->component_count(), 3u);
+  std::set<uint32_t> versions;
+  for (size_t i = 0; i < ds->component_count(); ++i) {
+    versions.insert(ds->component(i).reader().format_version());
+  }
+  EXPECT_EQ(versions, (std::set<uint32_t>{kComponentFormatV2,
+                                          kComponentFormatV3,
+                                          kComponentFormatV4}));
 
-  // Both generations are readable in one scan, and point reads hit both.
+  // All generations are readable in one scan, and point reads hit each.
   size_t seen = 0;
   auto cursor = ds->Scan(Projection::All());
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -222,15 +231,18 @@ TEST_P(FaultTest, MixedFormatVersionsReadTogether) {
     if (!*ok) break;
     ++seen;
   }
-  EXPECT_EQ(seen, 120u);
+  EXPECT_EQ(seen, 180u);
   Value record;
-  ASSERT_TRUE(ds->Lookup(30, &record).ok());
-  ASSERT_TRUE(ds->Lookup(1030, &record).ok());
-  // Merging the two formats produces one checksummed component.
+  for (int64_t key : {30, 1030, 2030}) {
+    ASSERT_TRUE(ds->Lookup(key, &record).ok()) << key;
+  }
+  // Merging the three formats produces one v4 component.
   ASSERT_TRUE(ds->MergeAll().ok());
-  EXPECT_EQ(ds->component_count(), 1u);
-  ASSERT_TRUE(ds->Lookup(30, &record).ok());
-  ASSERT_TRUE(ds->Lookup(1030, &record).ok());
+  ASSERT_EQ(ds->component_count(), 1u);
+  EXPECT_EQ(ds->component(0).reader().format_version(), kComponentFormatV4);
+  for (int64_t key : {30, 1030, 2030}) {
+    ASSERT_TRUE(ds->Lookup(key, &record).ok()) << key;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, FaultTest,

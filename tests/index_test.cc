@@ -8,6 +8,7 @@
 
 #include "src/common/rng.h"
 #include "src/index/indexed_dataset.h"
+#include "src/storage/fault_injection_fs.h"
 
 namespace lsmcol {
 namespace {
@@ -242,6 +243,114 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, IndexedDatasetTest,
                          [](const auto& info) {
                            return std::string(LayoutKindName(info.param));
                          });
+
+// A FileSystem that keeps every file under `to` in place of `from`: what
+// a caller creates under `from` never appears there on the real disk.
+class RedirectFs final : public FileSystem {
+ public:
+  RedirectFs(std::string from, std::string to)
+      : from_(std::move(from)), to_(std::move(to)) {}
+
+  Result<std::unique_ptr<FsFile>> Create(const std::string& path) override {
+    return base_->Create(Map(path));
+  }
+  Result<std::unique_ptr<FsFile>> Open(const std::string& path,
+                                       bool writable) override {
+    return base_->Open(Map(path), writable);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(Map(from), Map(to));
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(Map(path));
+  }
+  bool Exists(const std::string& path) override {
+    return base_->Exists(Map(path));
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(Map(dir));
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return base_->CreateDirs(Map(dir));
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(Map(dir));
+  }
+
+ private:
+  std::string Map(const std::string& path) const {
+    if (path.compare(0, from_.size(), from_) != 0) return path;
+    return to_ + path.substr(from_.size());
+  }
+
+  const std::string from_;
+  const std::string to_;
+  FileSystem* const base_ = DefaultFileSystem();
+};
+
+std::vector<std::string> IdxFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  if (!std::filesystem::exists(dir)) return out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".idx") {
+      out.push_back(entry.path().filename().string());
+    }
+  }
+  return out;
+}
+
+// Index files go through DatasetOptions::fs like the dataset's own
+// components: an injected filesystem sees (and can crash) every one.
+TEST(IndexedDatasetFsTest, IndexFilesLiveOnTheDatasetFilesystem) {
+  const std::string dir = testing::TempDir() + "/idxfs_named";
+  const std::string shadow = testing::TempDir() + "/idxfs_shadow";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(shadow);
+  RedirectFs redirect(dir, shadow);
+  FaultInjectionFs fs(&redirect);
+  fs.SetTrackUnsynced(true);
+  BufferCache cache(1024 * kPage, kPage);
+  DatasetOptions options;
+  options.layout = LayoutKind::kAmax;
+  options.dir = dir;
+  options.page_size = kPage;
+  options.fs = &fs;
+  auto ds = IndexedDataset::Create(options, &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_TRUE((*ds)->DeclarePrimaryKeyIndex().ok());
+  ASSERT_TRUE((*ds)->DeclareIndex("ts", {"timestamp"}).ok());
+  for (int64_t i = 0; i < 300; ++i) {
+    Value v = Value::MakeObject();
+    v.Set("id", Value::Int(i));
+    v.Set("timestamp", Value::Int(5000 + i));
+    ASSERT_TRUE((*ds)->Insert(v).ok());
+  }
+  ASSERT_TRUE((*ds)->Flush().ok());
+
+  EXPECT_TRUE(IdxFiles(dir).empty());
+  const std::vector<std::string> files = IdxFiles(shadow);
+  EXPECT_EQ(files.size(), 2u);  // the pk index and "ts"
+
+  // Simulated crash after Flush: every index file was synced, so the
+  // crash image keeps each whole and verifiable.
+  ASSERT_TRUE(fs.DropUnsyncedWrites().ok());
+  BufferCache fresh(1024 * kPage, kPage);
+  for (const std::string& name : files) {
+    auto reader = ComponentReader::Open(dir + "/" + name, &fresh, kPage, &fs);
+    ASSERT_TRUE(reader.ok()) << name << ": " << reader.status().ToString();
+    EXPECT_EQ((*reader)->format_version(), kComponentFormatV4);
+    Buffer out;
+    for (size_t i = 0; i < (*reader)->leaves().size(); ++i) {
+      ASSERT_TRUE((*reader)->ReadLeafUncached(i, &out).ok()) << name;
+    }
+  }
+  auto count = (*ds)->IndexCount("ts", 5100, 5199);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 100u);
+  ds->reset();
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(shadow);
+}
 
 }  // namespace
 }  // namespace lsmcol

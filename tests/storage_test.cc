@@ -12,6 +12,7 @@
 #include "src/common/rng.h"
 #include "src/storage/buffer_cache.h"
 #include "src/storage/component_file.h"
+#include "src/storage/crc32c.h"
 #include "src/storage/fault_injection_fs.h"
 #include "src/storage/file.h"
 #include "src/storage/manifest.h"
@@ -67,9 +68,59 @@ TEST(PageFileTest, OpenNonexistentFails) {
   EXPECT_FALSE(PageFile::Open(TempPath("does_not_exist"), kPage).ok());
 }
 
-TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
+TEST(Crc32cTest, KnownAnswers) {
+  // The iSCSI (RFC 3720 §B.4) check values, on both paths.
+  const std::string zeros(32, '\0');
+  const std::string ones(32, '\xff');
+  for (auto crc : {&Crc32cSoftware, &Crc32cHardware, &Crc32c}) {
+    EXPECT_EQ(crc(Slice("123456789"), 0), 0xE3069283u);
+    EXPECT_EQ(crc(Slice(zeros), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(Slice(ones), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(Slice(), 0), 0u);
+  }
+}
+
+TEST(Crc32cTest, HardwareAndSoftwareAgreeAtEveryLengthAndOffset) {
+  // Crc32cHardware falls back to the software path on a CPU without
+  // SSE4.2, where this test degenerates to self-agreement.
+  Rng rng(13);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const Slice data(buf.data() + offset, len);
+      ASSERT_EQ(Crc32cHardware(data, 0), Crc32cSoftware(data, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainingEqualsConcatenation) {
+  Rng rng(17);
+  std::string buf(3000, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t split : {0, 1, 7, 8, 9, 1000, 2999, 3000}) {
+    const Slice a(buf.data(), split);
+    const Slice b(buf.data() + split, buf.size() - split);
+    const uint32_t whole = Crc32cSoftware(Slice(buf), 0);
+    EXPECT_EQ(Crc32cSoftware(b, Crc32cSoftware(a, 0)), whole) << split;
+    EXPECT_EQ(Crc32cHardware(b, Crc32cHardware(a, 0)), whole) << split;
+  }
+}
+
+// The trailered-page tests run for both trailer kinds: v3 (FNV-1a) and
+// v4 (CRC-32C).
+class PageTrailerTest : public ::testing::TestWithParam<PageTrailer> {
+ protected:
+  PageTrailer other() const {
+    return GetParam() == PageTrailer::kCrc32c ? PageTrailer::kFnv1a
+                                              : PageTrailer::kCrc32c;
+  }
+};
+
+TEST_P(PageTrailerTest, RoundTripAndPhysicalSize) {
   std::string path = TempPath("pf_ck1");
-  auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Create(path, kPage, GetParam());
   ASSERT_TRUE(file.ok());
   EXPECT_EQ((*file)->page_size(), kPage);  // payload budget is unchanged
   EXPECT_EQ((*file)->physical_page_size(), kPage + kPageTrailerBytes);
@@ -82,7 +133,7 @@ TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
   ASSERT_TRUE((*file)->ReadPage(1, &out).ok());
   EXPECT_EQ(std::string(out.data(), kPage), std::string(kPage, 'z'));
   // Reopen sees the trailered geometry.
-  auto reopened = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto reopened = PageFile::Open(path, kPage, GetParam());
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->page_count(), 2u);
   Buffer again;
@@ -91,10 +142,10 @@ TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
-TEST(PageFileTest, BitFlipDetectedNamingFileAndPage) {
+TEST_P(PageTrailerTest, BitFlipDetectedNamingFileAndPage) {
   std::string path = TempPath("pf_ck2");
   {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+    auto file = PageFile::Create(path, kPage, GetParam());
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->WritePage(0, Slice("page zero")).ok());
     ASSERT_TRUE((*file)->WritePage(1, Slice("page one")).ok());
@@ -110,7 +161,7 @@ TEST(PageFileTest, BitFlipDetectedNamingFileAndPage) {
     f.seekp(static_cast<std::streamoff>(kPage + kPageTrailerBytes + 3));
     f.put(static_cast<char>(c ^ 0x10));
   }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Open(path, kPage, GetParam());
   ASSERT_TRUE(file.ok());
   Buffer out;
   ASSERT_TRUE((*file)->ReadPage(0, &out).ok());  // untouched page still reads
@@ -121,13 +172,13 @@ TEST(PageFileTest, BitFlipDetectedNamingFileAndPage) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
-TEST(PageFileTest, MisdirectedPageDetected) {
+TEST_P(PageTrailerTest, MisdirectedPageDetected) {
   // The trailer covers the page number, so a page written to the wrong
   // offset (misdirected I/O) fails its checksum even though its bytes are
   // internally consistent.
   std::string path = TempPath("pf_ck3");
   {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+    auto file = PageFile::Create(path, kPage, GetParam());
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->WritePage(0, Slice("A")).ok());
     ASSERT_TRUE((*file)->WritePage(1, Slice("B")).ok());
@@ -145,7 +196,7 @@ TEST(PageFileTest, MisdirectedPageDetected) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << swapped;
   }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Open(path, kPage, GetParam());
   ASSERT_TRUE(file.ok());
   Buffer out;
   EXPECT_TRUE((*file)->ReadPage(0, &out).IsChecksumMismatch());
@@ -153,16 +204,47 @@ TEST(PageFileTest, MisdirectedPageDetected) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
+TEST_P(PageTrailerTest, OtherTrailerKindNeverVerifies) {
+  // Same geometry, other checksum: every page fails as ChecksumMismatch
+  // rather than reading back as if verified.
+  std::string path = TempPath("pf_ck4");
+  {
+    auto file = PageFile::Create(path, kPage, GetParam());
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->WritePage(0, Slice("written once")).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  auto file = PageFile::Open(path, kPage, other());
+  ASSERT_TRUE(file.ok());
+  Buffer out;
+  Status st = (*file)->ReadPage(0, &out);
+  EXPECT_TRUE(st.IsChecksumMismatch()) << st.ToString();
+  auto right = PageFile::Open(path, kPage, GetParam());
+  ASSERT_TRUE(right.ok());
+  EXPECT_TRUE((*right)->ReadPage(0, &out).ok());
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothKinds, PageTrailerTest,
+                         ::testing::Values(PageTrailer::kFnv1a,
+                                           PageTrailer::kCrc32c),
+                         [](const auto& info) {
+                           return std::string(info.param ==
+                                                      PageTrailer::kCrc32c
+                                                  ? "Crc32c"
+                                                  : "Fnv1a");
+                         });
+
 TEST(PageFileTest, LegacyFormatStillReadable) {
   std::string path = TempPath("pf_legacy");
   {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/false);
+    auto file = PageFile::Create(path, kPage, PageTrailer::kNone);
     ASSERT_TRUE(file.ok());
     EXPECT_EQ((*file)->physical_page_size(), kPage);  // no trailer
     ASSERT_TRUE((*file)->WritePage(0, Slice("legacy")).ok());
     ASSERT_TRUE((*file)->Sync().ok());
   }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/false);
+  auto file = PageFile::Open(path, kPage, PageTrailer::kNone);
   ASSERT_TRUE(file.ok());
   Buffer out;
   ASSERT_TRUE((*file)->ReadPage(0, &out).ok());
@@ -424,6 +506,32 @@ TEST_F(ComponentFileTest, RoundTripLeavesIndexAndMetadata) {
   EXPECT_EQ(out.slice().ToString(), leaf1);
   ASSERT_TRUE((*reader)->ReadLeaf(1, &out).ok());
   EXPECT_EQ(out.slice().ToString(), leaf2);
+}
+
+TEST_F(ComponentFileTest, OpenSniffsEveryFormatVersion) {
+  for (uint32_t version :
+       {kComponentFormatV2, kComponentFormatV3, kComponentFormatV4}) {
+    {
+      auto writer = ComponentWriter::Create(path_, cache_.get(), kPage,
+                                            version);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE((*writer)->AppendLeaf(Slice("payload"), 1, 2, 2).ok());
+      ASSERT_TRUE((*writer)->Finish(Slice("meta")).ok());
+    }
+    auto reader = ComponentReader::Open(path_, cache_.get(), kPage);
+    ASSERT_TRUE(reader.ok()) << version << ": " << reader.status().ToString();
+    EXPECT_EQ((*reader)->format_version(), version);
+    // Leaf, index, metadata and footer pages; only v2 has no trailer.
+    const size_t trailer =
+        version == kComponentFormatV2 ? 0 : kPageTrailerBytes;
+    EXPECT_EQ((*reader)->size_bytes(), 4 * (kPage + trailer));
+    Buffer out;
+    ASSERT_TRUE((*reader)->ReadLeafUncached(0, &out).ok());
+    EXPECT_EQ(out.slice().ToString(), "payload");
+    EXPECT_EQ((*reader)->metadata().ToString(), "meta");
+  }
+  EXPECT_FALSE(
+      ComponentWriter::Create(path_, cache_.get(), kPage, 5).ok());
 }
 
 TEST_F(ComponentFileTest, RangeReadTouchesOnlyNeededPages) {
