@@ -16,6 +16,8 @@
 #                     and read cost (cross-policy contents verified)
 #   BENCH_checksum.json  Page-trailer and WAL-frame checksum cost: FNV-1a vs
 #                     CRC-32C hardware vs software (paths verified equal)
+#   BENCH_lookup.json  Point lookups: hit/miss, warm/cold, all four layouts,
+#                     1/4/16 components (probes verified against a scan)
 #
 # Usage: bench/run_benchmarks.sh [build_dir]
 #   build_dir            defaults to build-rel (configured on demand)
@@ -38,7 +40,8 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DLSMCOL_BUILD_TESTS=OFF >/dev/null
 cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
   bench_fig14_queries bench_fig13_ingestion bench_ablation_merge \
-  bench_ablation_wal bench_ablation_compaction bench_checksum >/dev/null
+  bench_ablation_wal bench_ablation_compaction bench_checksum \
+  bench_lookup >/dev/null
 
 "$BUILD_DIR/bench/bench_fig10_codegen" $VERIFY_FLAG \
   --json "$ROOT/BENCH_fig10.json"
@@ -53,8 +56,9 @@ cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
 "$BUILD_DIR/bench/bench_ablation_compaction" $VERIFY_FLAG \
   --json "$ROOT/BENCH_compaction.json"
 "$BUILD_DIR/bench/bench_checksum" --verify --json "$ROOT/BENCH_checksum.json"
+"$BUILD_DIR/bench/bench_lookup" $VERIFY_FLAG --json "$ROOT/BENCH_lookup.json"
 
 echo "wrote $ROOT/BENCH_fig10.json, $ROOT/BENCH_fig14.json," \
      "$ROOT/BENCH_fig13.json, $ROOT/BENCH_merge.json," \
-     "$ROOT/BENCH_wal.json, $ROOT/BENCH_compaction.json, and" \
-     "$ROOT/BENCH_checksum.json"
+     "$ROOT/BENCH_wal.json, $ROOT/BENCH_compaction.json," \
+     "$ROOT/BENCH_checksum.json, and $ROOT/BENCH_lookup.json"

@@ -28,6 +28,28 @@ void EmitLiterals(const uint8_t* base, size_t start, size_t end, Buffer* out) {
   }
 }
 
+// Literals and matches are copied in whole 16- or 8-byte blocks, so a
+// copy may write up to 15 bytes past its end: the output is sized with
+// this much slack, trimmed once the stream is decoded.
+constexpr size_t kCopySlack = 16;
+
+inline size_t RoundUp16(size_t n) { return (n + 15) & ~size_t{15}; }
+
+// LEB128 varint at *ip, bounded by end; false when truncated or overlong.
+inline bool ReadVarint(const uint8_t** ip, const uint8_t* end,
+                       uint64_t* out) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63 && *ip != end; shift += 7) {
+    const uint8_t byte = *(*ip)++;
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *out = result;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 size_t LzMaxCompressedSize(size_t n) {
@@ -89,39 +111,85 @@ void LzCompress(Slice input, Buffer* out) {
 }
 
 Status LzDecompress(Slice input, Buffer* out) {
-  BufferReader reader(input);
+  BufferReader header(input);
   uint64_t uncompressed_len = 0;
-  LSMCOL_RETURN_NOT_OK(reader.ReadVarint64(&uncompressed_len));
+  LSMCOL_RETURN_NOT_OK(header.ReadVarint64(&uncompressed_len));
+  const uint8_t* ip = header.rest().udata();
+  const uint8_t* const iend = ip + header.remaining();
+  // Every token takes at least two input bytes and yields at most
+  // kMinMatch + kMaxMatchToken, so a longer declared length is damage —
+  // rejected before it sizes an allocation.
+  if (uncompressed_len >
+      header.remaining() / 2 * (kMinMatch + kMaxMatchToken)) {
+    return Status::Corruption("lz length exceeds what the input can hold");
+  }
   const size_t start_size = out->size();
-  out->reserve(start_size + uncompressed_len);
-  while (out->size() - start_size < uncompressed_len) {
-    uint8_t tag = 0;
-    LSMCOL_RETURN_NOT_OK(reader.ReadByte(&tag));
+  const size_t n = static_cast<size_t>(uncompressed_len);
+  out->resize(start_size + n + kCopySlack);
+  char* const base = out->mutable_data() + start_size;
+  char* const oend = base + n;
+  char* op = base;
+  Status st;
+  while (op < oend) {
+    if (ip == iend) {
+      st = Status::Corruption("truncated input reading lz tag");
+      break;
+    }
+    const uint8_t tag = *ip++;
+    const size_t room = static_cast<size_t>(oend - op);
     if ((tag & 1) == 0) {
       const size_t run = tag >> 1;
-      if (run == 0) return Status::Corruption("zero-length literal run");
-      Slice bytes;
-      LSMCOL_RETURN_NOT_OK(reader.ReadBytes(run, &bytes));
-      out->Append(bytes);
+      if (run == 0) {
+        st = Status::Corruption("zero-length literal run");
+        break;
+      }
+      const size_t avail = static_cast<size_t>(iend - ip);
+      if (avail < run) {
+        st = Status::Corruption("truncated input reading lz literals");
+        break;
+      }
+      if (run > room) {
+        st = Status::Corruption("decompressed size mismatch");
+        break;
+      }
+      if (avail >= RoundUp16(run)) {
+        for (size_t i = 0; i < run; i += 16) std::memcpy(op + i, ip + i, 16);
+      } else {
+        std::memcpy(op, ip, run);
+      }
+      op += run;
+      ip += run;
     } else {
       const size_t len = (tag >> 1) + kMinMatch;
       uint64_t offset = 0;
-      LSMCOL_RETURN_NOT_OK(reader.ReadVarint64(&offset));
-      const size_t produced = out->size() - start_size;
-      if (offset == 0 || offset > produced) {
-        return Status::Corruption("match offset out of range");
+      if (!ReadVarint(&ip, iend, &offset)) {
+        st = Status::Corruption("truncated or overlong match offset");
+        break;
       }
-      // Byte-by-byte copy: overlapping matches (offset < len) replicate.
-      for (size_t j = 0; j < len; ++j) {
-        char c = out->data()[out->size() - offset];
-        out->AppendByte(static_cast<uint8_t>(c));
+      if (offset == 0 || offset > static_cast<uint64_t>(op - base)) {
+        st = Status::Corruption("match offset out of range");
+        break;
       }
+      if (len > room) {
+        st = Status::Corruption("decompressed size mismatch");
+        break;
+      }
+      // Whole blocks are safe whenever the offset is at least the block
+      // width: each block then reads only bytes already final. Shorter
+      // offsets replicate a pattern and go byte by byte.
+      const char* src = op - offset;
+      if (offset >= 16) {
+        for (size_t i = 0; i < len; i += 16) std::memcpy(op + i, src + i, 16);
+      } else if (offset >= 8) {
+        for (size_t i = 0; i < len; i += 8) std::memcpy(op + i, src + i, 8);
+      } else {
+        for (size_t i = 0; i < len; ++i) op[i] = src[i];
+      }
+      op += len;
     }
   }
-  if (out->size() - start_size != uncompressed_len) {
-    return Status::Corruption("decompressed size mismatch");
-  }
-  return Status::OK();
+  out->resize(st.ok() ? start_size + n : start_size);
+  return st;
 }
 
 }  // namespace lsmcol

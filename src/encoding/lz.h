@@ -23,7 +23,9 @@ namespace lsmcol {
 /// grows by at most ~1/127 plus the header.
 void LzCompress(Slice input, Buffer* out);
 
-/// Decompress a stream produced by LzCompress, appending to out.
+/// Decompress a stream produced by LzCompress, appending to out. A
+/// malformed stream (including a length header larger than the input
+/// could produce) returns Corruption and leaves out as it was.
 Status LzDecompress(Slice input, Buffer* out);
 
 /// Upper bound of LzCompress output size for `n` input bytes.

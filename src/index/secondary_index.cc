@@ -123,8 +123,7 @@ Status SecondaryIndex::Flush() {
 
 Status SecondaryIndex::ScanComponentRange(
     const Component& component, int64_t lo, int64_t hi,
-    std::map<std::pair<int64_t, int64_t>, bool>* merged, bool newest_wins) {
-  (void)newest_wins;
+    std::map<std::pair<int64_t, int64_t>, bool>* merged) {
   const auto& leaves = component.reader->leaves();
   for (size_t i = component.reader->LowerBoundLeaf(lo);
        i < leaves.size() && leaves[i].min_key <= hi; ++i) {
@@ -156,8 +155,7 @@ Status SecondaryIndex::ScanRange(int64_t lo, int64_t hi,
     merged.emplace(it->first, it->second);
   }
   for (const Component& component : components_) {
-    LSMCOL_RETURN_NOT_OK(
-        ScanComponentRange(component, lo, hi, &merged, true));
+    LSMCOL_RETURN_NOT_OK(ScanComponentRange(component, lo, hi, &merged));
   }
   for (const auto& [key, anti] : merged) {
     if (!anti) out->push_back({key.first, key.second});
@@ -176,8 +174,8 @@ Status SecondaryIndex::MergeAll() {
   std::map<std::pair<int64_t, int64_t>, bool> merged;
   for (const auto& [key, anti] : memtable_) merged.emplace(key, anti);
   for (const Component& component : components_) {
-    LSMCOL_RETURN_NOT_OK(ScanComponentRange(component, INT64_MIN, INT64_MAX,
-                                            &merged, true));
+    LSMCOL_RETURN_NOT_OK(
+        ScanComponentRange(component, INT64_MIN, INT64_MAX, &merged));
   }
   memtable_.clear();
   const std::string path = options_.dir + "/" + options_.name + "_" +

@@ -77,7 +77,7 @@ class SecondaryIndex {
   Status Add(int64_t sk, int64_t pk, bool anti);
   Status ScanComponentRange(
       const Component& component, int64_t lo, int64_t hi,
-      std::map<std::pair<int64_t, int64_t>, bool>* merged, bool newest_wins);
+      std::map<std::pair<int64_t, int64_t>, bool>* merged);
 
   SecondaryIndexOptions options_;
   BufferCache* cache_;

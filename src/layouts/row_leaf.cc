@@ -44,10 +44,9 @@ Status RowLeafReader::Init(Slice payload, bool compressed) {
   decompressed_.clear();
   if (compressed) {
     LSMCOL_RETURN_NOT_OK(LzDecompress(payload, &decompressed_));
-  } else {
-    decompressed_.Append(payload);
+    payload = decompressed_.slice();
   }
-  reader_ = BufferReader(decompressed_.slice());
+  reader_ = BufferReader(payload);
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&count));
   count_ = static_cast<uint32_t>(count);

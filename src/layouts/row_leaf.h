@@ -44,14 +44,16 @@ class RowLeafBuilder {
 /// Iterates the entries of one row leaf payload.
 class RowLeafReader {
  public:
-  /// `payload` is the leaf payload as stored (compressed or not).
+  /// `payload` is the leaf payload as stored (compressed or not). An
+  /// uncompressed payload is read in place and must outlive the reader.
   Status Init(Slice payload, bool compressed);
 
   uint32_t record_count() const { return count_; }
   bool AtEnd() const { return position_ >= count_; }
 
-  /// Advance to the next entry; the row slice points into the reader's
-  /// internal buffer and is valid until the next Init.
+  /// Advance to the next entry; the row slice points into the payload
+  /// (or the reader's decompressed copy) and is valid until the next
+  /// Init.
   Status Next(int64_t* key, bool* anti_matter, Slice* row);
 
  private:

@@ -6,6 +6,36 @@
 #include "src/encoding/lz.h"
 
 namespace lsmcol {
+namespace {
+
+// Columns a projection needs from a component with `schema`, by column
+// id; the primary key always.
+std::vector<bool> ProjectedColumns(const Schema& schema,
+                                   const Projection& projection) {
+  std::vector<bool> projected(static_cast<size_t>(schema.column_count()),
+                              projection.all);
+  projected[0] = true;
+  if (projection.all) return projected;
+  for (const auto& path : projection.paths) {
+    const SchemaNode* node = schema.ResolvePath(path);
+    if (node == nullptr) continue;  // path unknown to this component
+    for (int c : Schema::ColumnsUnder(node)) projected[c] = true;
+  }
+  return projected;
+}
+
+// The primary key in the shape the assembler takes a column in: one
+// present value.
+ColumnRecord PkRecord(int64_t key) {
+  ColumnRecord record;
+  record.root.kind = ShredCell::Kind::kLeaf;
+  record.root.def = 1;
+  record.root.value_index = 0;
+  record.values.push_back(Value::Int(key));
+  return record;
+}
+
+}  // namespace
 
 void ComponentMeta::SerializeTo(Buffer* out, const Schema* schema) const {
   out->AppendByte(static_cast<uint8_t>(layout));
@@ -132,10 +162,37 @@ Status Component::ReadLeaf(size_t leaf_index, Buffer* out) const {
   return NoteRead(reader_->ReadLeaf(leaf_index, out));
 }
 
-Status Component::ReadLeafRange(size_t leaf_index, uint64_t offset,
-                                uint64_t size, Buffer* out) const {
+Status Component::ViewLeafRange(size_t leaf_index, uint64_t offset,
+                                uint64_t size, LeafBytes* out) const {
   LSMCOL_RETURN_NOT_OK(CheckReadable());
-  return NoteRead(reader_->ReadLeafRange(leaf_index, offset, size, out));
+  return NoteRead(reader_->ViewLeafRange(leaf_index, offset, size, out));
+}
+
+Status Component::ReadApaxLeaf(size_t leaf_index, ApaxLeaf* out) const {
+  LeafBytes payload;
+  LSMCOL_RETURN_NOT_OK(ViewLeafRange(
+      leaf_index, 0, reader_->leaves()[leaf_index].payload_size, &payload));
+  return out->Init(payload.data(), meta_.compressed);
+}
+
+Status Component::ReadAmaxPageZero(size_t leaf_index,
+                                   AmaxPageZero* out) const {
+  const uint64_t page0_size = std::min<uint64_t>(
+      reader_->leaves()[leaf_index].payload_size, reader_->page_size());
+  LeafBytes page0;
+  LSMCOL_RETURN_NOT_OK(ViewLeafRange(leaf_index, 0, page0_size, &page0));
+  return out->Init(page0.data());
+}
+
+Status Component::ReadAmaxMegapage(size_t leaf_index,
+                                   const AmaxColumnExtent& extent,
+                                   const ColumnInfo& info,
+                                   Buffer* chunk) const {
+  LeafBytes raw;
+  LSMCOL_RETURN_NOT_OK(
+      ViewLeafRange(leaf_index, extent.offset, extent.size, &raw));
+  return ParseAmaxMegapage(raw.data(), info, meta_.compressed, chunk,
+                           nullptr, nullptr);
 }
 
 Status Component::ScrubLeaf(size_t leaf_index, Buffer* out) const {
@@ -153,13 +210,14 @@ Result<std::shared_ptr<const Buffer>> Component::DecompressedRowLeaf(
   }
   // Decompress outside the lock; concurrent misses of the same leaf do
   // the work twice but both get a valid (shared) payload.
-  Buffer raw;
-  LSMCOL_RETURN_NOT_OK(ReadLeaf(leaf_index, &raw));
+  LeafBytes raw;
+  LSMCOL_RETURN_NOT_OK(ViewLeafRange(
+      leaf_index, 0, reader_->leaves()[leaf_index].payload_size, &raw));
   auto scratch = std::make_shared<Buffer>();
   if (meta_.compressed) {
-    LSMCOL_RETURN_NOT_OK(LzDecompress(raw.slice(), scratch.get()));
+    LSMCOL_RETURN_NOT_OK(LzDecompress(raw.data(), scratch.get()));
   } else {
-    scratch->Append(raw.slice());
+    scratch->Append(raw.data());
   }
   std::shared_ptr<const Buffer> payload = std::move(scratch);
   MutexLock lock(&row_leaf_mu_);
@@ -229,9 +287,7 @@ ColumnarComponentCursor::ColumnarComponentCursor(
   const Schema* schema = component_->schema();
   LSMCOL_CHECK(schema != nullptr);
   const size_t ncols = static_cast<size_t>(schema->column_count());
-  projected_.assign(ncols, false);
-  projected_[0] = true;  // PK always
-  LSMCOL_CHECK_OK(ResolveProjection(projection));
+  projected_ = ProjectedColumns(*schema, projection);
   for (size_t c = 0; c < ncols; ++c) {
     if (projected_[c] && c != 0) projected_ids_.push_back(static_cast<int>(c));
   }
@@ -240,11 +296,7 @@ ColumnarComponentCursor::ColumnarComponentCursor(
   if (predicates != nullptr && !predicates->empty()) {
     ResolvePredicates(*predicates);
   }
-  // Synthetic PK column record reused for assembly.
-  pk_record_.root.kind = ShredCell::Kind::kLeaf;
-  pk_record_.root.def = 1;
-  pk_record_.root.value_index = 0;
-  pk_record_.values.push_back(Value::Int(0));
+  pk_record_ = PkRecord(0);  // reused for assembly
 }
 
 void ColumnarComponentCursor::ResolvePredicates(
@@ -420,20 +472,6 @@ void ColumnarComponentCursor::EvaluateLeafZones() {
   }
 }
 
-Status ColumnarComponentCursor::ResolveProjection(const Projection& projection) {
-  const Schema* schema = component_->schema();
-  if (projection.all) {
-    projected_.assign(projected_.size(), true);
-    return Status::OK();
-  }
-  for (const auto& path : projection.paths) {
-    const SchemaNode* node = schema->ResolvePath(path);
-    if (node == nullptr) continue;  // path unknown to this component
-    for (int c : Schema::ColumnsUnder(node)) projected_[c] = true;
-  }
-  return Status::OK();
-}
-
 Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   leaf_index_ = leaf_index;
   position_in_leaf_ = 0;
@@ -450,10 +488,7 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
   if (component_->meta().layout == LayoutKind::kApax) {
-    Buffer payload;
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeaf(leaf_index, &payload));
-    LSMCOL_RETURN_NOT_OK(
-        apax_leaf_.Init(payload.slice(), component_->meta().compressed));
+    LSMCOL_RETURN_NOT_OK(component_->ReadApaxLeaf(leaf_index, &apax_leaf_));
     EvaluateLeafZones();
     leaf_loaded_ = true;
     if (!leaf_zone_match_ &&
@@ -468,12 +503,8 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
                                          schema->column(0)));
   } else {
     // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
-    const uint64_t page0_size =
-        std::min<uint64_t>(leaf.payload_size,
-                           component_->reader().page_size());
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-        leaf_index, 0, page0_size, &amax_page0_bytes_));
-    LSMCOL_RETURN_NOT_OK(amax_page0_.Init(amax_page0_bytes_.slice()));
+    LSMCOL_RETURN_NOT_OK(
+        component_->ReadAmaxPageZero(leaf_index, &amax_page0_));
     EvaluateLeafZones();
     leaf_loaded_ = true;
     if (!leaf_zone_match_ &&
@@ -563,12 +594,8 @@ Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
         } else {
           // First touch of this column in this leaf: fetch only its
           // megapage's physical pages.
-          Buffer raw;
-          LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-              leaf_index_, extent.offset, extent.size, &raw));
-          LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-              raw.slice(), info, component_->meta().compressed,
-              &st.chunk_storage, nullptr, nullptr));
+          LSMCOL_RETURN_NOT_OK(component_->ReadAmaxMegapage(
+              leaf_index_, extent, info, &st.chunk_storage));
           LSMCOL_RETURN_NOT_OK(st.reader.Init(st.chunk_storage.slice(), info));
         }
       }
@@ -613,12 +640,8 @@ Status ColumnarComponentCursor::LoadPredColumn(PredColumn* pc) {
     if (!(st.loaded && st.exists && !st.chunk_storage.empty())) {
       const AmaxColumnExtent& extent = amax_page0_.extent(pc->column_id);
       LSMCOL_DCHECK(extent.size != 0);  // zone test vetoed absent columns
-      Buffer raw;
-      LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-          leaf_index_, extent.offset, extent.size, &raw));
-      LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-          raw.slice(), info, component_->meta().compressed,
-          &pc->chunk_storage, nullptr, nullptr));
+      LSMCOL_RETURN_NOT_OK(component_->ReadAmaxMegapage(
+          leaf_index_, extent, info, &pc->chunk_storage));
       chunk = pc->chunk_storage.slice();
     } else {
       chunk = st.chunk_storage.slice();
@@ -727,6 +750,132 @@ Status ColumnarComponentCursor::Path(const std::vector<std::string>& path,
 
 Status ColumnarComponentCursor::SeekForward(int64_t target) {
   seek_floor_ = std::max(seek_floor_, target);
+  return Status::OK();
+}
+
+// ------------------------------------------------------- ComponentProbe
+
+Status ComponentProbe::Find(int64_t key, bool* found, bool* anti_matter) {
+  *found = false;
+  *anti_matter = false;
+  const ComponentReader& reader = component_->reader();
+  const size_t leaf = reader.LowerBoundLeaf(key);
+  if (leaf == reader.leaves().size() || reader.leaves()[leaf].min_key > key) {
+    return Status::OK();  // no leaf's fences cover the key
+  }
+  // The loaded leaf was read before any quarantine; check again so a
+  // damaged component never answers for a key it may hold.
+  LSMCOL_RETURN_NOT_OK(component_->CheckReadable());
+  if (leaf != leaf_) LSMCOL_RETURN_NOT_OK(LoadLeaf(leaf));
+  const auto begin = keys_.ints.begin();
+  const auto it = std::lower_bound(begin, keys_.ints.end(), key);
+  if (it == keys_.ints.end() || *it != key) return Status::OK();
+  pos_ = static_cast<size_t>(it - begin);
+  *found = true;
+  *anti_matter = keys_.defs[pos_] == 0;
+  return Status::OK();
+}
+
+Status ComponentProbe::LoadLeaf(size_t leaf_index) {
+  leaf_ = SIZE_MAX;  // nothing half-loaded is ever reused
+  for (ColumnSlot& slot : slots_) slot.loaded = false;
+  const LayoutKind layout = component_->meta().layout;
+  if (layout == LayoutKind::kOpen || layout == LayoutKind::kVb) {
+    LSMCOL_ASSIGN_OR_RETURN(row_leaf_,
+                            component_->DecompressedRowLeaf(leaf_index));
+    RowLeafReader reader;
+    LSMCOL_RETURN_NOT_OK(
+        reader.Init(row_leaf_->slice(), /*compressed=*/false));
+    keys_.Clear();
+    rows_.clear();
+    while (!reader.AtEnd()) {
+      int64_t key = 0;
+      bool anti_matter = false;
+      Slice row;
+      LSMCOL_RETURN_NOT_OK(reader.Next(&key, &anti_matter, &row));
+      keys_.ints.push_back(key);
+      keys_.defs.push_back(anti_matter ? 0 : 1);
+      rows_.push_back(row);
+    }
+  } else {
+    Slice pk_chunk;
+    if (layout == LayoutKind::kApax) {
+      LSMCOL_RETURN_NOT_OK(component_->ReadApaxLeaf(leaf_index, &apax_leaf_));
+      pk_chunk = apax_leaf_.chunk(0);
+    } else {
+      LSMCOL_RETURN_NOT_OK(
+          component_->ReadAmaxPageZero(leaf_index, &amax_page0_));
+      pk_chunk = amax_page0_.pk_chunk();
+    }
+    ColumnChunkReader pk_reader;
+    LSMCOL_RETURN_NOT_OK(
+        pk_reader.Init(pk_chunk, component_->schema()->column(0)));
+    LSMCOL_RETURN_NOT_OK(
+        pk_reader.NextEntryBatch(pk_reader.entry_count(), &keys_));
+  }
+  leaf_ = leaf_index;
+  return Status::OK();
+}
+
+Status ComponentProbe::ReadColumn(int column_id, ColumnSlot* slot) {
+  const ColumnInfo& info = component_->schema()->column(column_id);
+  if (!slot->loaded) {
+    slot->chunk = Slice();
+    if (component_->meta().layout == LayoutKind::kApax) {
+      slot->chunk = apax_leaf_.chunk(column_id);
+    } else if (const AmaxColumnExtent& extent =
+                   amax_page0_.extent(column_id);
+               extent.size != 0) {
+      LSMCOL_RETURN_NOT_OK(component_->ReadAmaxMegapage(
+          leaf_, extent, info, &slot->storage));
+      slot->chunk = slot->storage.slice();
+    }
+    slot->next = UINT64_MAX;  // reader not positioned yet
+    slot->loaded = true;
+  }
+  if (slot->chunk.empty()) {
+    slot->record = ColumnRecord();  // column unknown to this leaf
+    return Status::OK();
+  }
+  if (slot->next > pos_) {  // first use, or a key below the last one
+    LSMCOL_RETURN_NOT_OK(slot->reader.Init(slot->chunk, info));
+    slot->next = 0;
+  }
+  const uint64_t skip = pos_ - slot->next;
+  slot->next = UINT64_MAX;  // a failed read below leaves no position
+  LSMCOL_RETURN_NOT_OK(slot->reader.SkipRecords(skip));
+  LSMCOL_RETURN_NOT_OK(slot->reader.NextRecord(&slot->record));
+  slot->next = pos_ + 1;
+  return Status::OK();
+}
+
+Status ComponentProbe::Record(Value* out) {
+  LSMCOL_DCHECK(leaf_ != SIZE_MAX && keys_.defs[pos_] != 0);
+  const LayoutKind layout = component_->meta().layout;
+  if (layout == LayoutKind::kOpen || layout == LayoutKind::kVb) {
+    return GetRowCodec(layout).Decode(rows_[pos_], out);
+  }
+  const Schema* schema = component_->schema();
+  if (projected_.empty()) {
+    projected_ = ProjectedColumns(*schema, *projection_);
+    all_projected_ = true;
+    for (size_t c = 0; c < projected_.size(); ++c) {
+      all_projected_ = all_projected_ && projected_[c];
+      if (projected_[c] && c != 0) {
+        projected_ids_.push_back(static_cast<int>(c));
+      }
+    }
+    slots_.resize(projected_ids_.size());
+    by_column_.assign(projected_.size(), nullptr);
+  }
+  pk_record_ = PkRecord(keys_.ints[pos_]);
+  by_column_[0] = &pk_record_;
+  for (size_t i = 0; i < projected_ids_.size(); ++i) {
+    LSMCOL_RETURN_NOT_OK(ReadColumn(projected_ids_[i], &slots_[i]));
+    by_column_[projected_ids_[i]] = &slots_[i].record;
+  }
+  *out =
+      assembler_.Assemble(by_column_, all_projected_ ? nullptr : &projected_);
   return Status::OK();
 }
 

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <climits>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -124,8 +125,20 @@ class Component {
   /// components — and the dataset as a whole — stay readable: damage is
   /// contained to the file that exhibits it.
   Status ReadLeaf(size_t leaf_index, Buffer* out) const;
-  Status ReadLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
-                       Buffer* out) const;
+  /// A leaf range viewed in place in its pinned cache page when it lies
+  /// within one page (ComponentReader::ViewLeafRange); same checks.
+  Status ViewLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
+                       LeafBytes* out) const;
+
+  /// Layout-specific checked reads, each over ViewLeafRange. APAX: one
+  /// whole leaf, parsed.
+  Status ReadApaxLeaf(size_t leaf_index, ApaxLeaf* out) const;
+  /// AMAX: one mega leaf's Page 0 — header, zone prefixes, keys (§4.3).
+  Status ReadAmaxPageZero(size_t leaf_index, AmaxPageZero* out) const;
+  /// AMAX: one column's megapage, decoded into the chunk bytes
+  /// ColumnChunkReader::Init takes.
+  Status ReadAmaxMegapage(size_t leaf_index, const AmaxColumnExtent& extent,
+                          const ColumnInfo& info, Buffer* chunk) const;
 
   /// Checked leaf read that bypasses the buffer cache: the physical
   /// pages are re-read and re-verified even when cached. The scrubber's
@@ -313,7 +326,6 @@ class ColumnarComponentCursor : public TupleCursor {
 
   Status LoadLeaf(size_t leaf_index);
   Status EnsureColumnCurrent(int column_id);
-  Status ResolveProjection(const Projection& projection);
   void ResolvePredicates(const ScanPredicateSet& predicates);
   /// Zone tests for the current leaf; sets leaf_zone_match_.
   void EvaluateLeafZones();
@@ -333,7 +345,6 @@ class ColumnarComponentCursor : public TupleCursor {
 
   // Per-leaf state.
   ApaxLeaf apax_leaf_;
-  Buffer amax_page0_bytes_;
   AmaxPageZero amax_page0_;
   ColumnChunkReader pk_reader_;
   ColumnEntryBatch pk_batch_;  // whole-leaf PK decode (defs + keys)
@@ -352,6 +363,65 @@ class ColumnarComponentCursor : public TupleCursor {
   bool anti_matter_ = false;
   int64_t seek_floor_ = INT64_MIN;
   std::vector<const ColumnRecord*> by_column_;  // scratch for assembly
+  ColumnRecord pk_record_;
+};
+
+/// Point reads against one component: the per-component step of the
+/// newest-first LSM point lookup (Snapshot::Lookup, LookupBatch). Find
+/// touches at most the one leaf whose key fences cover the key, and
+/// decodes only that leaf's keys; Record then materializes the found
+/// entry, projection-limited on columnar layouts exactly like
+/// ColumnarComponentCursor. The decoded leaf — and the column chunks
+/// Record loaded from it — stay until Find moves to another leaf, so
+/// ascending keys read each leaf once.
+class ComponentProbe {
+ public:
+  /// `projection` must outlive the probe.
+  ComponentProbe(const Component* component, const Projection* projection)
+      : component_(component),
+        projection_(projection),
+        assembler_(component->schema()) {}
+
+  /// *found: the component holds an entry for `key`; *anti_matter: that
+  /// entry is a delete. A key outside every leaf's fences costs no I/O
+  /// and never fails, even on a quarantined component; a covered key
+  /// reads through the checked path, so quarantine fails it.
+  Status Find(int64_t key, bool* found, bool* anti_matter);
+
+  /// Materialize the live entry the last Find located.
+  Status Record(Value* out);
+
+ private:
+  /// One projected column of the decoded leaf.
+  struct ColumnSlot {
+    bool loaded = false;  // chunk set for the current leaf
+    Slice chunk;          // empty: column absent from this leaf
+    Buffer storage;       // AMAX: the decoded megapage `chunk` views
+    ColumnChunkReader reader;
+    uint64_t next = 0;  // record index the reader stands at
+    ColumnRecord record;
+  };
+
+  Status LoadLeaf(size_t leaf_index);
+  Status ReadColumn(int column_id, ColumnSlot* slot);
+
+  const Component* component_;
+  const Projection* projection_;
+  RecordAssembler assembler_;
+  size_t leaf_ = SIZE_MAX;  // leaf whose keys are decoded
+  size_t pos_ = 0;          // entry the last Find located
+  ColumnEntryBatch keys_;   // ints: keys; defs: 0 marks anti-matter
+  ApaxLeaf apax_leaf_;
+  AmaxPageZero amax_page0_;
+  std::shared_ptr<const Buffer> row_leaf_;  // decompressed row leaf
+  std::vector<Slice> rows_;  // row layouts: encoded rows, by entry
+
+  // Columnar projection, resolved on first Record.
+  std::vector<bool> projected_;  // by component column id
+  std::vector<int> projected_ids_;  // projected non-PK ids
+  bool all_projected_ = false;
+  std::vector<ColumnSlot> slots_;  // parallel to projected_ids_
+  std::vector<const ColumnRecord*> by_column_;
   ColumnRecord pk_record_;
 };
 

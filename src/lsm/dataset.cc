@@ -1110,11 +1110,8 @@ class ApaxLeafCache {
     for (auto& [index, leaf] : entries_) {
       if (index == leaf_index) return leaf;
     }
-    Buffer payload;
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeaf(leaf_index, &payload));
     auto leaf = std::make_shared<ApaxLeaf>();
-    LSMCOL_RETURN_NOT_OK(
-        leaf->Init(payload.slice(), component_->meta().compressed));
+    LSMCOL_RETURN_NOT_OK(component_->ReadApaxLeaf(leaf_index, leaf.get()));
     if (entries_.size() >= kCapacity) entries_.erase(entries_.begin());
     entries_.emplace_back(leaf_index,
                           std::shared_ptr<const ApaxLeaf>(std::move(leaf)));
@@ -1142,18 +1139,12 @@ class MergePkSource {
     while (leaf_index_ < leaves.size()) {
       ColumnChunkReader reader;
       std::shared_ptr<const ApaxLeaf> apax_hold;
-      Buffer page0_bytes;
       AmaxPageZero page0;
       if (component_->meta().layout == LayoutKind::kApax) {
         LSMCOL_ASSIGN_OR_RETURN(apax_hold, apax_cache_->Get(leaf_index_));
         LSMCOL_RETURN_NOT_OK(reader.Init(apax_hold->chunk(0), info));
       } else {
-        const uint64_t page0_size = std::min<uint64_t>(
-            leaves[leaf_index_].payload_size,
-            component_->reader().page_size());
-        LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-            leaf_index_, 0, page0_size, &page0_bytes));
-        LSMCOL_RETURN_NOT_OK(page0.Init(page0_bytes.slice()));
+        LSMCOL_RETURN_NOT_OK(component_->ReadAmaxPageZero(leaf_index_, &page0));
         LSMCOL_RETURN_NOT_OK(reader.Init(page0.pk_chunk(), info));
       }
       // PK batches copy keys and defs out of the chunk, so the leaf bytes
@@ -1331,14 +1322,7 @@ class ComponentColumnStream {
         LSMCOL_RETURN_NOT_OK(reader_.Init(chunk, info));
       }
     } else {
-      const auto& leaves = component_->reader().leaves();
-      const size_t page_size = component_->reader().page_size();
-      const uint64_t page0_size =
-          std::min<uint64_t>(leaves[leaf].payload_size, page_size);
-      Buffer page0_bytes;
-      LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-          leaf, 0, page0_size, &page0_bytes));
-      LSMCOL_RETURN_NOT_OK(page0_.Init(page0_bytes.slice()));
+      LSMCOL_RETURN_NOT_OK(component_->ReadAmaxPageZero(leaf, &page0_));
       if (column_id_ == 0) {
         leaf_exists_ = true;
         pk_chunk_.clear();
@@ -1348,12 +1332,8 @@ class ComponentColumnStream {
         const AmaxColumnExtent& extent = page0_.extent(column_id_);
         leaf_exists_ = extent.size != 0;
         if (leaf_exists_) {
-          Buffer raw;
-          LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-              leaf, extent.offset, extent.size, &raw));
-          LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-              raw.slice(), info, component_->meta().compressed,
-              &chunk_storage_, nullptr, nullptr));
+          LSMCOL_RETURN_NOT_OK(component_->ReadAmaxMegapage(
+              leaf, extent, info, &chunk_storage_));
           LSMCOL_RETURN_NOT_OK(reader_.Init(chunk_storage_.slice(), info));
         }
       }

@@ -65,24 +65,17 @@ Status LsmScanCursor::SeekForward(int64_t target) {
 
 // ---------------------------------------------------------- lookup batch
 
+LookupBatch::LookupBatch(std::shared_ptr<const Snapshot> snapshot,
+                         const Projection& projection)
+    : snapshot_(std::move(snapshot)), projection_(projection) {
+  probes_.reserve(snapshot_->components_.size());
+  for (const auto& component : snapshot_->components_) {
+    probes_.emplace_back(component.get(), &projection_);
+  }
+}
+
 Status LookupBatch::Find(int64_t key, bool* found, Value* out) {
-  *found = false;
-  if (exhausted_) return Status::OK();
-  if (has_current_ && cursor_->key() > key) return Status::OK();
-  if (!has_current_ || cursor_->key() < key) {
-    LSMCOL_RETURN_NOT_OK(cursor_->SeekForward(key));
-    LSMCOL_ASSIGN_OR_RETURN(bool ok, cursor_->Next());
-    if (!ok) {
-      exhausted_ = true;
-      return Status::OK();
-    }
-    has_current_ = true;
-  }
-  if (cursor_->key() == key) {
-    *found = true;
-    if (out != nullptr) LSMCOL_RETURN_NOT_OK(cursor_->Record(out));
-  }
-  return Status::OK();
+  return snapshot_->Probe(key, &probes_, found, out);
 }
 
 // -------------------------------------------------------------- snapshot
@@ -174,19 +167,50 @@ Status Snapshot::Lookup(int64_t key, Value* out) const {
 
 Status Snapshot::Lookup(int64_t key, const Projection& projection,
                         Value* out) const {
-  LSMCOL_ASSIGN_OR_RETURN(auto cursor, Scan(projection));
-  LSMCOL_RETURN_NOT_OK(cursor->SeekForward(key));
-  LSMCOL_ASSIGN_OR_RETURN(bool ok, cursor->Next());
-  if (!ok || cursor->key() != key) {
-    return Status::NotFound("key " + std::to_string(key));
+  std::vector<ComponentProbe> probes;
+  probes.reserve(components_.size());
+  for (const auto& component : components_) {
+    probes.emplace_back(component.get(), &projection);
   }
-  return cursor->Record(out);
+  bool found = false;
+  LSMCOL_RETURN_NOT_OK(Probe(key, &probes, &found, out));
+  if (!found) return Status::NotFound("key " + std::to_string(key));
+  return Status::OK();
+}
+
+Status Snapshot::Probe(int64_t key, std::vector<ComponentProbe>* probes,
+                       bool* found, Value* out) const {
+  *found = false;
+  auto memtable_entry = [key](const MemTable& memtable) {
+    auto it = memtable.entries().find(key);
+    return it == memtable.entries().end() ? nullptr : &it->second;
+  };
+  const MemTable::Entry* entry = memtable_entry(*memtable_);
+  for (size_t i = 0; entry == nullptr && i < immutables_.size(); ++i) {
+    entry = memtable_entry(*immutables_[i]);
+  }
+  if (entry != nullptr) {
+    *found = !entry->anti_matter;
+    if (*found && out != nullptr) {
+      return row_codec_->Decode(Slice(entry->row), out);
+    }
+    return Status::OK();
+  }
+  for (ComponentProbe& probe : *probes) {
+    bool hit = false, anti_matter = false;
+    LSMCOL_RETURN_NOT_OK(probe.Find(key, &hit, &anti_matter));
+    if (!hit) continue;
+    *found = !anti_matter;
+    if (*found && out != nullptr) return probe.Record(out);
+    return Status::OK();
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<LookupBatch>> Snapshot::NewLookupBatch(
     const Projection& projection) const {
-  LSMCOL_ASSIGN_OR_RETURN(auto cursor, Scan(projection));
-  return std::unique_ptr<LookupBatch>(new LookupBatch(std::move(cursor)));
+  return std::unique_ptr<LookupBatch>(
+      new LookupBatch(shared_from_this(), projection));
 }
 
 uint64_t Snapshot::OnDiskBytes() const {

@@ -79,22 +79,28 @@ class LsmScanCursor : public TupleCursor {
   std::shared_ptr<const Snapshot> pinned_;
 };
 
-/// Stateful batched point lookups for ascending keys (§4.6): the LSM
-/// cursor state persists across Find calls, so sorted secondary-index
-/// results read each column chunk once. Pins its snapshot.
+/// Stateful batched point lookups (§4.6): each Find is the newest-first
+/// probe of Snapshot::Lookup, but every component keeps its last decoded
+/// leaf, so ascending keys — sorted secondary-index results — read each
+/// leaf once. Pins its snapshot.
 class LookupBatch {
  public:
-  /// Keys must be non-decreasing across calls.
+  // The probes point at projection_.
+  LookupBatch(const LookupBatch&) = delete;
+  LookupBatch& operator=(const LookupBatch&) = delete;
+
+  /// Any key order is correct; non-decreasing keys are the cheap order.
+  /// `out` may be null (liveness check only).
   Status Find(int64_t key, bool* found, Value* out);
 
  private:
   friend class Snapshot;
-  explicit LookupBatch(std::unique_ptr<LsmScanCursor> cursor)
-      : cursor_(std::move(cursor)) {}
+  LookupBatch(std::shared_ptr<const Snapshot> snapshot,
+              const Projection& projection);
 
-  std::unique_ptr<LsmScanCursor> cursor_;
-  bool has_current_ = false;
-  bool exhausted_ = false;
+  std::shared_ptr<const Snapshot> snapshot_;
+  Projection projection_;
+  std::vector<ComponentProbe> probes_;  // one per component, newest first
 };
 
 /// \brief One dataset's state at a point in time, held immutable.
@@ -120,8 +126,10 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
   Result<std::unique_ptr<LsmScanCursor>> Scan(
       const Projection& projection, const ScanPredicateSet& predicates) const;
 
-  /// Point lookup. NotFound when the key does not exist (or was deleted)
-  /// in this view.
+  /// Point lookup: a newest-first probe of the active memtable, the
+  /// sealed memtables, then the components whose leaf fences cover the
+  /// key (arXiv:1812.07527 §2.2); the first source holding the key
+  /// decides it. NotFound when none does or the decider is anti-matter.
   Status Lookup(int64_t key, Value* out) const;
   /// Point lookup materializing only the projected paths (§4.6: index
   /// maintenance fetches just the old indexed values).
@@ -148,7 +156,14 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
 
  private:
   friend class Dataset;
+  friend class LookupBatch;
   Snapshot() = default;
+
+  /// The probe behind Lookup and LookupBatch: `probes` holds one probe
+  /// per component, newest first. *found is false when no source holds
+  /// the key or the newest entry is anti-matter; `out` may be null.
+  Status Probe(int64_t key, std::vector<ComponentProbe>* probes, bool* found,
+               Value* out) const;
 
   LayoutKind layout_ = LayoutKind::kOpen;
   const RowCodec* row_codec_ = nullptr;

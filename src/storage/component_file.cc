@@ -262,7 +262,7 @@ Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
                                       uint64_t size, Buffer* out) const {
   LSMCOL_CHECK(leaf_index < leaves_.size());
   const LeafEntry& leaf = leaves_[leaf_index];
-  if (offset + size > leaf.payload_size) {
+  if (offset > leaf.payload_size || size > leaf.payload_size - offset) {
     return Status::OutOfRange("leaf range out of bounds");
   }
   out->clear();
@@ -280,6 +280,30 @@ Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
     out->Append(data.data() + skip, take);
     skip = 0;
   }
+  return Status::OK();
+}
+
+Status ComponentReader::ViewLeafRange(size_t leaf_index, uint64_t offset,
+                                      uint64_t size, LeafBytes* out) const {
+  LSMCOL_CHECK(leaf_index < leaves_.size());
+  const LeafEntry& leaf = leaves_[leaf_index];
+  out->page_ = PageHandle();
+  out->copy_.clear();
+  out->data_ = Slice();
+  if (offset > leaf.payload_size || size > leaf.payload_size - offset) {
+    return Status::OutOfRange("leaf range out of bounds");
+  }
+  if (size == 0) return Status::OK();
+  const size_t page_size = file_->page_size();
+  const uint64_t first = offset / page_size;
+  if ((offset + size - 1) / page_size != first) {
+    LSMCOL_RETURN_NOT_OK(ReadLeafRange(leaf_index, offset, size, &out->copy_));
+    out->data_ = out->copy_.slice();
+    return Status::OK();
+  }
+  LSMCOL_ASSIGN_OR_RETURN(out->page_,
+                          cache_->Fetch(*file_, leaf.first_page + first));
+  out->data_ = out->page_.data().SubSlice(offset % page_size, size);
   return Status::OK();
 }
 

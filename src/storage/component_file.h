@@ -38,6 +38,22 @@ struct LeafEntry {
   uint32_t record_count = 0;
 };
 
+/// Bytes of one leaf range, as ComponentReader::ViewLeafRange returns
+/// them: a view into a pinned buffer-cache page when the range lies
+/// within one page, else an owned copy. The bytes stay valid while the
+/// object lives; it may hold a page pin, so drop it before clearing the
+/// cache.
+class LeafBytes {
+ public:
+  Slice data() const { return data_; }
+
+ private:
+  friend class ComponentReader;
+  PageHandle page_;
+  Buffer copy_;
+  Slice data_;
+};
+
 /// Component file format versions (docs/FORMAT.md, "Page trailer and
 /// footer versions"). v3 added the per-page FNV-1a checksum trailer; v4
 /// (the default) keeps the trailer's size and page-number coverage but
@@ -116,6 +132,12 @@ class ComponentReader {
   /// reads a single column's megapage, §4.4).
   Status ReadLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
                        Buffer* out) const;
+
+  /// ReadLeafRange without the copy when it can: a range within one
+  /// physical page is viewed in place in the pinned cache page; only a
+  /// range crossing a page boundary is copied.
+  Status ViewLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
+                       LeafBytes* out) const;
 
   /// Read a leaf's full payload bypassing the buffer cache: every
   /// physical page is re-read from the filesystem and its trailer (v3,

@@ -111,8 +111,13 @@ Status PageFile::WritePage(uint64_t page_no, Slice payload) {
     return Status::InvalidArgument("page payload exceeds page size");
   }
   const size_t physical = physical_page_size();
-  std::vector<char> buf(physical, 0);
+  // One staging page per writing thread, reused across pages and files:
+  // page-sized, so a fresh one per write cost an allocation and a zero
+  // fill of every page flushed or merged.
+  thread_local std::vector<char> buf;
+  if (buf.size() < physical) buf.resize(physical);
   ::memcpy(buf.data(), payload.data(), payload.size());
+  ::memset(buf.data() + payload.size(), 0, page_size_ - payload.size());
   if (trailer_ != PageTrailer::kNone) {
     EncodeFixed32(buf.data() + page_size_,
                   PageChecksum(trailer_, buf.data(), page_size_, page_no));

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -381,6 +385,124 @@ TEST(LzTest, CorruptStreamRejected) {
   Slice truncated(compressed.data(), compressed.size() / 2);
   Buffer out;
   EXPECT_FALSE(LzDecompress(truncated, &out).ok());
+}
+
+// Decompress `stream` from a buffer of exactly its size, so ASan catches
+// any read past the end of the input.
+Status DecompressExact(const Buffer& stream, Buffer* out) {
+  std::unique_ptr<char[]> exact(
+      new char[std::max<size_t>(stream.size(), 1)]);
+  if (!stream.empty()) std::memcpy(exact.get(), stream.data(), stream.size());
+  return LzDecompress(Slice(exact.get(), stream.size()), out);
+}
+
+TEST(LzTest, LengthHeaderBeyondInputIsCorruptionNotAllocation) {
+  Buffer stream;
+  stream.AppendVarint64(uint64_t{1} << 50);
+  stream.AppendByte(2 << 1);  // a 2-byte literal run
+  stream.Append("ab", 2);
+  Buffer out;
+  Status st = LzDecompress(stream.slice(), &out);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_TRUE(out.empty());
+  // The largest length three bytes of tokens could ever produce is still
+  // rejected once it exceeds what the tokens actually hold.
+  Buffer tight;
+  tight.AppendVarint64(131);
+  tight.AppendByte(2 << 1);
+  tight.Append("ab", 2);
+  EXPECT_TRUE(LzDecompress(tight.slice(), &out).IsCorruption());
+}
+
+TEST(LzTest, OverlappingMatchesEveryShortOffsetAndLength) {
+  for (size_t offset = 1; offset <= 15; ++offset) {
+    for (size_t len = 4; len <= 131; ++len) {
+      std::string expect;
+      for (size_t i = 0; i < offset; ++i) {
+        expect.push_back(static_cast<char>('a' + i));
+      }
+      for (size_t i = 0; i < len; ++i) {
+        expect.push_back(expect[expect.size() - offset]);
+      }
+      expect += "XYZ";  // bytes after the match must survive its copy
+      Buffer stream;
+      stream.AppendVarint64(expect.size());
+      stream.AppendByte(static_cast<uint8_t>(offset << 1));
+      stream.Append(expect.data(), offset);
+      stream.AppendByte(static_cast<uint8_t>(((len - 4) << 1) | 1));
+      stream.AppendVarint64(offset);
+      stream.AppendByte(3 << 1);
+      stream.Append("XYZ", 3);
+      Buffer out;
+      Status st = DecompressExact(stream, &out);
+      ASSERT_TRUE(st.ok()) << offset << "/" << len << ": " << st.ToString();
+      ASSERT_EQ(out.slice().ToString(), expect) << offset << "/" << len;
+    }
+  }
+}
+
+TEST(LzTest, LiteralRunEndingAtOutputEnd) {
+  for (size_t run : {1, 15, 16, 17, 31, 127}) {
+    std::string expect;
+    for (size_t i = 0; i < 40; ++i) expect.push_back('m');
+    std::string tail;
+    for (size_t i = 0; i < run; ++i) tail.push_back(static_cast<char>(i));
+    Buffer stream;
+    stream.AppendVarint64(40 + run);
+    stream.AppendByte(1 << 1);
+    stream.Append("m", 1);
+    stream.AppendByte(static_cast<uint8_t>(((39 - 4) << 1) | 1));
+    stream.AppendVarint64(1);
+    stream.AppendByte(static_cast<uint8_t>(run << 1));
+    stream.Append(tail.data(), run);
+    Buffer out;
+    ASSERT_TRUE(DecompressExact(stream, &out).ok()) << run;
+    EXPECT_EQ(out.slice().ToString(), expect + tail) << run;
+  }
+}
+
+TEST(LzTest, AppendsToNonEmptyBuffer) {
+  std::string input;
+  for (int i = 0; i < 200; ++i) input += "row" + std::to_string(i % 7) + ";";
+  Buffer compressed;
+  LzCompress(Slice(input), &compressed);
+  Buffer out;
+  out.Append("prefix", 6);
+  ASSERT_TRUE(LzDecompress(compressed.slice(), &out).ok());
+  EXPECT_EQ(out.slice().ToString(), "prefix" + input);
+  // Matches resolve against this stream's output, never the prefix: an
+  // offset reaching into the prefix is out of range, and a failed call
+  // leaves the buffer as it was.
+  Buffer bad;
+  bad.AppendVarint64(8);
+  bad.AppendByte(1 << 1);
+  bad.Append("z", 1);
+  bad.AppendByte(((7 - 4) << 1) | 1);
+  bad.AppendVarint64(3);
+  EXPECT_TRUE(LzDecompress(bad.slice(), &out).IsCorruption());
+  EXPECT_EQ(out.slice().ToString(), "prefix" + input);
+}
+
+TEST(LzTest, TruncationAtEveryOffsetIsCorruption) {
+  Rng rng(7);
+  std::string input;
+  for (int i = 0; i < 200; ++i) {
+    input += "field_" + std::to_string(rng.Uniform(9));
+    input += rng.Word(1, 12);
+  }
+  Buffer compressed;
+  LzCompress(Slice(input), &compressed);
+  for (size_t cut = 0; cut < compressed.size(); ++cut) {
+    Buffer prefix;
+    prefix.Append(compressed.data(), cut);
+    Buffer out;
+    Status st = DecompressExact(prefix, &out);
+    ASSERT_TRUE(st.IsCorruption()) << "cut " << cut << ": " << st.ToString();
+    EXPECT_TRUE(out.empty()) << cut;
+  }
+  Buffer out;
+  ASSERT_TRUE(DecompressExact(compressed, &out).ok());
+  EXPECT_EQ(out.slice().ToString(), input);
 }
 
 TEST(LzTest, MixedStructuredPayload) {
